@@ -53,7 +53,7 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__
 from ..errors import ClusterError, ReplicaUnavailableError
 from ..obs import MetricsRegistry, Trace, TraceRecorder, activate, log_event, new_request_id
-from ..server.handlers import MAX_BODY_BYTES, MAX_REQUEST_ID_CHARS, _HTTPFail
+from ..server.handlers import MAX_REQUEST_ID_CHARS, _HTTPFail, request_body_length
 from ..service.service import render_prometheus
 from .proxy import _HOP_HEADERS, ProxyResponse, forward, open_stream
 from .replicas import DEFAULT_RESTART_POLICY, REPLICA_UP, Replica, ReplicaSet
@@ -551,11 +551,7 @@ class ClusterRequestHandler(BaseHTTPRequestHandler):
         return headers
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise _HTTPFail(
-                413, "PayloadTooLarge", f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
+        length = request_body_length(self)
         return self.rfile.read(length) if length else b""
 
     def _read_json(self, optional: bool = False) -> Dict[str, object]:

@@ -1,9 +1,10 @@
 """Search-space partitioning into seed subgraphs and initial sub-tasks (Algorithm 2).
 
-For every seed vertex ``v_i`` (taken in degeneracy order) the algorithm
-builds a *seed subgraph* ``G_i`` induced by the vertices that come after
-``v_i`` in the ordering and lie within two hops of it (Eq (1) of the paper),
-shrinks it with Corollary 5.2, and splits the work under ``v_i`` into
+For every seed vertex ``v_i`` (taken in degeneracy order) that passes a
+cheap exact gate on its later neighbours (:func:`seed_passes_gate`), the
+algorithm builds a *seed subgraph* ``G_i`` induced by the vertices that come
+after ``v_i`` in the ordering and lie within two hops of it (Eq (1) of the
+paper), shrinks it with Corollary 5.2, and splits the work under ``v_i`` into
 independent sub-tasks ``T_{ {v_i} ∪ S }`` — one per subset ``S`` of the
 seed's non-neighbours in ``G_i`` with ``|S| <= k - 1``.  Each sub-task is a
 ``⟨P, C, X⟩`` triple ready to be mined by the branch-and-bound search of
@@ -86,6 +87,52 @@ class SubTask:
         return f"seed={context.seed_vertex} P={members}"
 
 
+def seed_passes_gate(
+    graph: Graph,
+    order_position: Sequence[int],
+    seed_vertex: int,
+    k: int,
+    q: int,
+    config: EnumerationConfig,
+) -> bool:
+    """Return ``False`` when the seed's task group provably holds no result.
+
+    Runs the neighbour half of Corollary 5.2 on the seed's later neighbours
+    ``L`` alone: repeatedly drop any ``u ∈ L`` with ``|N(u) ∩ L| < q - 2k``.
+    That rule reads only the kept neighbours, so its fixpoint is the
+    neighbour set :func:`~repro.core.pruning.corollary_52_keep` would keep.
+    Every k-plex ``P ∋ v`` with ``|P| >= q`` has ``|P ∩ N(v)| >= q - k``, so
+    a fixpoint smaller than ``q - k`` rules the seed out before any two-hop
+    expansion.  With seed pruning disabled every seed passes.
+    """
+    if not config.use_seed_pruning:
+        return True
+    needed = q - k
+    seed_position = order_position[seed_vertex]
+    later = {
+        vertex
+        for vertex in graph.neighbors(seed_vertex)
+        if order_position[vertex] > seed_position
+    }
+    if len(later) < needed:
+        return False
+    threshold = q - 2 * k
+    if threshold <= 0:
+        return True
+    counts = {vertex: len(graph.neighbors(vertex) & later) for vertex in later}
+    doomed = [vertex for vertex, count in counts.items() if count < threshold]
+    while doomed:
+        vertex = doomed.pop()
+        later.discard(vertex)
+        if len(later) < needed:
+            return False
+        for neighbour in graph.neighbors(vertex) & later:
+            counts[neighbour] -= 1
+            if counts[neighbour] == threshold - 1:
+                doomed.append(neighbour)
+    return True
+
+
 def build_seed_context(
     graph: Graph,
     order_position: Sequence[int],
@@ -98,16 +145,20 @@ def build_seed_context(
     """Build the :class:`SeedContext` for one seed vertex, or ``None`` if prunable.
 
     ``order_position[v]`` must give the position of vertex ``v`` in the
-    degeneracy ordering.  ``None`` is returned when the (pruned) seed
-    subgraph is too small to contain a k-plex with ``q`` vertices.
+    degeneracy ordering.  ``None`` is returned when the seed fails
+    :func:`seed_passes_gate` or the (pruned) seed subgraph is too small to
+    contain a k-plex with ``q`` vertices.
 
-    The expansion deliberately stays on the frozenset adjacency: CPython's
-    C-level set unions measure faster than interpreted scans over the CSR
-    rows on every bundled dataset (see ``BENCH_results.json``), so the
-    prepared-graph index accelerates this function through what it *caches*
-    (the ordering and the shrunk core the caller passes in), not by swapping
-    the inner loops.
+    The gate reads only the seed's later neighbours, so the two-hop
+    expansion and the full Corollary 5.2 fixpoint are paid only by seeds
+    that can still hold a result; on sparse graphs that is a small fraction
+    of them.  A seed that passes is built exactly as without the gate.
     """
+    if not seed_passes_gate(graph, order_position, seed_vertex, k, q, config):
+        if stats is not None:
+            stats.seeds_pruned_empty += 1
+        return None
+
     seed_position = order_position[seed_vertex]
     neighbors = graph.neighbors(seed_vertex)
     reach = neighbors | graph.two_hop_neighbors(seed_vertex)

@@ -15,6 +15,7 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Sequence, Set
 
 from .graph import Graph
@@ -76,57 +77,57 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
 
 
 def set_backed_core_decomposition(graph: Graph) -> CoreDecomposition:
-    """Reference peeling over the adjacency sets (uncached).
+    """Peel ``graph`` with a bucket queue of int min-heaps (uncached).
 
-    This is the original bucket-queue implementation; the CSR-backed kernel
-    in :mod:`repro.graph.prepared` must produce bit-identical results, which
-    the equivalence tests assert against this function.
+    ``buckets[d]`` is a min-heap of the vertices whose current degree is
+    ``d``.  Degrees are clamped at the current level, so the pop order is:
+    minimum clamped degree first, then minimum vertex id.  Lowering a
+    neighbour's degree pushes it onto the next bucket down and leaves a stale
+    entry behind; a pop discards entries whose vertex is not (or no longer)
+    at the level being drained.  Every vertex enters each bucket at most once,
+    so peeling costs ``O((n + m) log n)`` however large one bucket grows.
+
+    The level never falls, and a peeled vertex keeps the degree it was
+    peeled at, which is at most the level; so "current degree equals the
+    level" is enough to tell a live entry, and "current degree above the
+    level" selects exactly the live neighbours whose degree still drops.
     """
     n = graph.num_vertices
     if n == 0:
         return CoreDecomposition(order=[], core_numbers=[], degeneracy=0)
 
-    degrees = graph.degrees()
-    max_degree = max(degrees) if degrees else 0
-    # Bucket queue: buckets[d] holds the vertices whose current degree is d.
-    buckets: List[Set[int]] = [set() for _ in range(max_degree + 1)]
-    for vertex, degree in enumerate(degrees):
-        buckets[degree].add(vertex)
+    current = list(graph.degrees())
+    # Vertices are appended in increasing id, so every bucket starts as a
+    # sorted list, which is already a valid heap.
+    buckets: List[List[int]] = [[] for _ in range(max(current) + 1)]
+    for vertex, degree in enumerate(current):
+        buckets[degree].append(vertex)
 
-    removed = [False] * n
-    current = list(degrees)
     order: List[int] = []
     core_numbers = [0] * n
-    degeneracy = 0
     level = 0
+    bucket = buckets[0]
+    neighbors = graph.neighbors
 
     for _ in range(n):
-        while level <= max_degree and not buckets[level]:
+        while True:
+            while bucket and current[bucket[0]] != level:
+                heappop(bucket)
+            if bucket:
+                break
             level += 1
-        if level > max_degree:
-            break
-        vertex = min(buckets[level])
-        buckets[level].discard(vertex)
-        removed[vertex] = True
-        degeneracy = max(degeneracy, level)
-        core_numbers[vertex] = degeneracy
+            bucket = buckets[level]
+        vertex = heappop(bucket)
+        core_numbers[vertex] = level
         order.append(vertex)
-        for neighbour in graph.neighbors(vertex):
-            if removed[neighbour]:
-                continue
+        for neighbour in neighbors(vertex):
             degree = current[neighbour]
             if degree > level:
-                buckets[degree].discard(neighbour)
-                buckets[degree - 1].add(neighbour)
-                current[neighbour] = degree - 1
-                if degree - 1 < level:
-                    level = degree - 1
-        # Removing a vertex can only lower degrees, so the scan level may need
-        # to move back by at most one bucket; handled above via the min update.
-        if level > 0 and buckets[level - 1]:
-            level -= 1
+                degree -= 1
+                current[neighbour] = degree
+                heappush(buckets[degree], neighbour)
 
-    return CoreDecomposition(order=order, core_numbers=core_numbers, degeneracy=degeneracy)
+    return CoreDecomposition(order=order, core_numbers=core_numbers, degeneracy=level)
 
 
 def degeneracy_ordering(graph: Graph) -> List[int]:

@@ -153,12 +153,10 @@ class PreparedGraph:
 
     @property
     def decomposition(self) -> CoreDecomposition:
-        """The core decomposition, computed once by the reference peeling.
+        """The core decomposition, computed once per graph.
 
-        The bucket-queue peeling over the adjacency sets is the fastest of
-        the implementations measured under CPython (its inner loops are
-        C-level set operations), so the cached artefact is produced by the
-        reference itself — the win here is paying for it once per graph.
+        Produced by :func:`~repro.graph.core_decomposition.set_backed_core_decomposition`,
+        the one peeling implementation (a bucket queue of int min-heaps).
 
         The returned object (and its lists) is the shared cache entry:
         treat it as read-only.  The public

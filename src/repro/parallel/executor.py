@@ -33,7 +33,7 @@ from ..core.branch import BranchSearcher, BranchState
 from ..core.config import EnumerationConfig
 from ..core.enumerator import EnumerationResult
 from ..core.kplex import KPlex, validate_parameters
-from ..core.seeds import build_seed_context, iter_subtasks
+from ..core.seeds import build_seed_context, iter_subtasks, seed_passes_gate
 from ..core.stats import SearchStatistics
 from ..errors import FaultInjectedError, SharedMemoryError, WorkerCrashError
 from ..graph import Graph
@@ -310,14 +310,27 @@ def _enumerate_parallel(
         preprocess_span.set(core_vertices=core_graph.num_vertices).finish()
     kplexes: List[KPlex] = []
 
+    seeds: List[int] = []
     if core_graph.num_vertices >= q:
         with span("seed_generation") as seed_span:
-            seeds = prepared_core.decomposition.order
+            order = prepared_core.decomposition.order
             # Materialise the position index before pickling so no worker
             # recomputes the ordering; this is still preprocessing time.
-            prepared_core.position
-            seed_span.set(seeds=len(seeds))
-        merged_stats.preprocess_seconds = time.perf_counter() - started
+            position = prepared_core.position
+            merged_stats.preprocess_seconds = time.perf_counter() - started
+            # Gate seeds here rather than in the workers: a gated seed would
+            # cost a pool round-trip only to come back empty.
+            seeds = [
+                seed_vertex
+                for seed_vertex in order
+                if seed_passes_gate(
+                    core_graph, position, seed_vertex, k, q, parallel.enumeration
+                )
+            ]
+            merged_stats.seeds_pruned_empty += len(order) - len(seeds)
+            seed_span.set(seeds=len(seeds), gated=len(order) - len(seeds))
+
+    if seeds:
         stage = parallel.stage_size or parallel.num_workers
         shared_payload = None
 

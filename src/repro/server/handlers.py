@@ -97,6 +97,30 @@ class _HTTPFail(Exception):
         self.kind = kind
 
 
+def request_body_length(handler: BaseHTTPRequestHandler) -> int:
+    """Return the request's ``Content-Length``, failing closed on a bad value.
+
+    A value that is not a plain decimal integer (``abc``, ``-1``) is a 400
+    and a value above :data:`MAX_BODY_BYTES` a 413.  Either way the body's
+    extent is unknown or unread, so the connection is closed after the
+    reply instead of reading on into the next request.
+    """
+    raw = handler.headers.get("Content-Length")
+    if not raw:
+        return 0
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()):
+        handler.close_connection = True
+        raise _HTTPFail(400, "BadRequest", f"invalid Content-Length {raw[:32]!r}")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        handler.close_connection = True
+        raise _HTTPFail(
+            413, "PayloadTooLarge", f"request body exceeds {MAX_BODY_BYTES} bytes"
+        )
+    return length
+
+
 def _classify(exc: Exception) -> Tuple[int, str]:
     """Map a library exception to an HTTP status and error-type label."""
     if isinstance(exc, ServiceOverloadError):
@@ -803,15 +827,11 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
     # Body / response plumbing
     # ------------------------------------------------------------------ #
     def _read_json_body(self, optional: bool = False) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = request_body_length(self)
         if length == 0:
             if optional:
                 return {}
             raise _HTTPFail(400, "BadRequest", "a JSON request body is required")
-        if length > MAX_BODY_BYTES:
-            raise _HTTPFail(
-                413, "PayloadTooLarge", f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw)

@@ -14,6 +14,7 @@ import sys
 import time
 
 import pytest
+from _helpers import post_with_content_length
 
 from repro.errors import ClusterError, RemoteServiceError
 from repro.cluster import HashRing, ReplicaSet, start_cluster
@@ -371,6 +372,16 @@ def test_cluster_trace_propagates_router_to_replica(cluster):
     assert payload["router"]["spans"]
     assert payload["router"]["spans"][0]["name"] == "router"
     assert payload["replica"]["request_id"] == solve_id
+
+
+def test_cluster_router_rejects_bad_content_length_with_400(cluster):
+    router, client = cluster
+    for value in ("abc", "-1"):
+        status, body = post_with_content_length(router.url, "/v1/solve", value)
+        assert status == 400
+        assert body["error"]["type"] == "BadRequest"
+        assert "Content-Length" in body["error"]["message"]
+    assert client.solve("toy", k=2, q=3)["count"] == 1
 
 
 def test_cluster_survives_sigkill_and_restarts_replica(cluster):

@@ -1,8 +1,14 @@
 """Unit tests for k-core decomposition and degeneracy ordering."""
 
+import random
+
+import pytest
+from _helpers import planted_ba
+
 from repro.graph import Graph, generators
 from repro.graph.core_decomposition import (
     core_decomposition,
+    set_backed_core_decomposition,
     degeneracy,
     degeneracy_ordering,
     k_core_subgraph,
@@ -91,3 +97,55 @@ def test_degeneracy_ordering_later_neighbours_bounded():
     for vertex in graph.vertices():
         later = sum(1 for w in graph.neighbors(vertex) if position[w] > position[vertex])
         assert later <= cap
+
+
+def _brute_force_peel(graph):
+    """O(n^2) oracle: take the vertex of minimum clamped degree, then minimum id.
+
+    A vertex's clamped degree is its degree among the remaining vertices,
+    raised to the highest level peeled so far; that level is the core number
+    of the vertex peeled at it.
+    """
+    remaining = set(graph.vertices())
+    degree = [graph.degree(v) for v in graph.vertices()]
+    order = []
+    core_numbers = [0] * graph.num_vertices
+    level = 0
+    while remaining:
+        vertex = min(remaining, key=lambda v: (max(degree[v], level), v))
+        level = max(level, degree[vertex])
+        remaining.remove(vertex)
+        order.append(vertex)
+        core_numbers[vertex] = level
+        for neighbour in graph.neighbors(vertex):
+            degree[neighbour] -= 1
+    return order, core_numbers, level
+
+
+def _oracle_graphs():
+    rng = random.Random(7)
+    yield "empty", Graph.empty(0)
+    yield "isolated", Graph.empty(6)
+    yield "isolated-plus-edge", Graph.from_edges([(3, 5)], vertices=range(7))
+    yield "disconnected", generators.disjoint_union(
+        [Graph.complete(4), generators.star_graph(5), Graph.empty(2), generators.cycle_graph(5)]
+    )
+    yield "disconnected-random", generators.disjoint_union(
+        [generators.erdos_renyi(15, 0.3, seed=s) for s in range(3)]
+    )
+    for seed in range(3):
+        yield f"planted-ba-{seed}", planted_ba(300, 3, 3, 9, seed=seed)
+    for trial in range(25):
+        n = rng.randint(1, 70)
+        yield f"random-{trial}", generators.erdos_renyi(n, rng.random() * 0.4, seed=trial)
+
+
+@pytest.mark.parametrize(
+    "graph", [pytest.param(graph, id=name) for name, graph in _oracle_graphs()]
+)
+def test_peel_matches_brute_force_oracle(graph):
+    order, core_numbers, degeneracy_value = _brute_force_peel(graph)
+    for decomposition in (set_backed_core_decomposition(graph), core_decomposition(graph)):
+        assert decomposition.order == order
+        assert decomposition.core_numbers == core_numbers
+        assert decomposition.degeneracy == degeneracy_value

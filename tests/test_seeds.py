@@ -1,9 +1,24 @@
 """Unit tests for the search-space partitioning (Algorithm 2)."""
 
+import pytest
+from _helpers import planted_ba, random_graph_cases, vertex_sets
+
+from repro.api import EnumerationRequest, KPlexEngine
+from repro.baselines.brute_force import brute_force_vertex_sets
+from repro.core import seeds as seeds_module
+from repro.core.branch import BranchSearcher
 from repro.core.config import EnumerationConfig
-from repro.core.seeds import build_seed_context, iter_seed_contexts, iter_subtasks
+from repro.core.pruning import corollary_52_keep
+from repro.core.seeds import (
+    build_seed_context,
+    iter_seed_contexts,
+    iter_subtasks,
+    seed_passes_gate,
+)
 from repro.core.stats import SearchStatistics
-from repro.graph import generators
+from repro.graph import Graph, generators
+from repro.graph.prepared import invalidate, prepare
+from repro.parallel import ParallelConfig
 from repro.graph.bitset import bits_to_list, contains
 from repro.graph.core_decomposition import core_decomposition
 
@@ -161,3 +176,168 @@ def test_degrees_match_subgraph():
             assert context.degrees[local] == context.subgraph.degree(local)
         if context.pair_ok is not None:
             assert len(context.pair_ok) == context.subgraph.size
+
+
+# --------------------------------------------------------------------------- #
+# The seed gate (neighbour half of Corollary 5.2, before two-hop expansion)
+# --------------------------------------------------------------------------- #
+def _context_fields(context):
+    return (
+        context.seed_vertex,
+        context.subgraph.vertices,
+        context.subgraph.adjacency,
+        context.seed_local,
+        context.candidate_mask,
+        context.two_hop_mask,
+        context.external_vertices,
+        context.external_adjacency,
+        context.degrees,
+        context.pair_ok,
+    )
+
+
+def _result_count(context, k, q, config):
+    found = []
+    searcher = BranchSearcher(
+        context, k, q, config, SearchStatistics(), on_result=found.append
+    )
+    for task in iter_subtasks(context, k, q, config, SearchStatistics()):
+        searcher.run_subtask(task)
+    return len(found)
+
+
+def _gate_cases():
+    yield generators.relaxed_caveman(4, 7, 0.3, seed=6), 2, 6
+    yield generators.relaxed_caveman(4, 7, 0.3, seed=6), 3, 7
+    yield generators.erdos_renyi(40, 0.25, seed=11), 2, 5
+    yield planted_ba(400, 3, 3, 9, seed=4), 2, 7
+    yield planted_ba(400, 4, 2, 10, seed=5), 3, 8
+
+
+def _compare_gated_with_ungated(graph, k, q, monkeypatch):
+    """Build every seed of the (q-k)-core with and without the gate.
+
+    Asserts that seeds past the gate are built exactly as before and that
+    every context the gate drops holds no result; returns how many it drops.
+    """
+    config = EnumerationConfig.ours()
+    core = prepare(graph).prepared_core(q - k)[0]
+    core_graph, position = core.graph, core.position
+    order = core.decomposition.order
+    gated = {
+        seed: build_seed_context(core_graph, position, seed, k, q, config)
+        for seed in order
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(seeds_module, "seed_passes_gate", lambda *args: True)
+        ungated = {
+            seed: build_seed_context(core_graph, position, seed, k, q, config)
+            for seed in order
+        }
+    dropped = 0
+    for seed in order:
+        if seed_passes_gate(core_graph, position, seed, k, q, config):
+            assert (gated[seed] is None) == (ungated[seed] is None)
+            if gated[seed] is not None:
+                assert _context_fields(gated[seed]) == _context_fields(ungated[seed])
+                reach = core_graph.neighborhood_within_two_hops(seed)
+                later = {v for v in reach if position[v] > position[seed]} | {seed}
+                kept = corollary_52_keep(core_graph, seed, later, k, q)
+                assert set(gated[seed].subgraph.vertices) == kept
+        else:
+            assert gated[seed] is None
+            if ungated[seed] is not None:
+                dropped += 1
+                assert _result_count(ungated[seed], k, q, config) == 0
+    return dropped
+
+
+@pytest.mark.parametrize("graph,k,q", list(_gate_cases()))
+def test_gate_keeps_contexts_identical_and_drops_only_empty_ones(
+    graph, k, q, monkeypatch
+):
+    _compare_gated_with_ungated(graph, k, q, monkeypatch)
+
+
+def test_gate_drops_contexts_that_hold_no_result(monkeypatch):
+    # Two-hop vertices can fill a seed subgraph up to q even though fewer
+    # than q - k of the seed's neighbours survive; no k-plex fits there.
+    graph = generators.erdos_renyi(30, 0.3, seed=7)
+    assert _compare_gated_with_ungated(graph, 4, 9, monkeypatch) >= 1
+    assert _compare_gated_with_ungated(graph, 3, 8, monkeypatch) >= 1
+
+
+def test_gate_is_off_without_seed_pruning():
+    graph = planted_ba(200, 3, 1, 8, seed=2)
+    config = EnumerationConfig.ours().with_changes(use_seed_pruning=False)
+    position = prepare(graph).position
+    assert all(
+        seed_passes_gate(graph, position, seed, 2, 7, config) for seed in graph.vertices()
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gated_solvers_match_brute_force_on_random_graphs(k):
+    engine = KPlexEngine()
+    parallel = ParallelConfig(num_workers=2, use_processes=False)
+    for graph in random_graph_cases(8, max_vertices=12, seed=40 + k):
+        for q in range(2 * k - 1, 2 * k + 4):
+            expected = brute_force_vertex_sets(graph, k, q)
+            ours = engine.solve(EnumerationRequest(graph=graph, k=k, q=q, solver="ours"))
+            assert vertex_sets(ours.kplexes) == expected, (k, q)
+            threaded = engine.solve(
+                EnumerationRequest(
+                    graph=graph, k=k, q=q, solver="parallel",
+                    options={"parallel": parallel},
+                )
+            )
+            assert vertex_sets(threaded.kplexes) == expected, (k, q)
+
+
+def test_parallel_driver_skips_gated_seeds_with_matching_statistics():
+    graph = planted_ba(600, 3, 3, 9, seed=8)
+    k, q = 2, 7
+    engine = KPlexEngine()
+    sequential = engine.solve(EnumerationRequest(graph=graph, k=k, q=q))
+    invalidate(graph)
+    processes = engine.solve(
+        EnumerationRequest(
+            graph=graph, k=k, q=q, solver="parallel",
+            options={"parallel": ParallelConfig(num_workers=2, use_processes=True)},
+        )
+    )
+    assert vertex_sets(processes.kplexes) == vertex_sets(sequential.kplexes)
+    assert processes.statistics.seeds == sequential.statistics.seeds
+    assert (
+        processes.statistics.seeds_pruned_empty
+        == sequential.statistics.seeds_pruned_empty
+    )
+
+
+def test_two_hop_expansion_runs_only_for_seeds_past_the_gate(monkeypatch):
+    # A cost guard by counter, not by timing: before the gate every one of
+    # the 2000 seeds paid a two-hop expansion.
+    graph = planted_ba(2000, 5, 4, 10, seed=3)
+    k, q = 2, 7
+    config = EnumerationConfig.ours()
+    core = prepare(graph).prepared_core(q - k)[0]
+    passing = [
+        seed for seed in core.graph.vertices()
+        if seed_passes_gate(core.graph, core.position, seed, k, q, config)
+    ]
+    calls = []
+    original = Graph.two_hop_neighbors
+
+    def counting(self, vertex):
+        calls.append(vertex)
+        return original(self, vertex)
+
+    monkeypatch.setattr(Graph, "two_hop_neighbors", counting)
+    response = KPlexEngine().solve(EnumerationRequest(graph=graph, k=k, q=q))
+    stats = response.statistics
+    assert stats.seeds + stats.seeds_pruned_empty == graph.num_vertices
+    assert sorted(calls) == sorted(passing)
+    # Seeds past the gate whose two-hop vertices all fail Corollary 5.2 are
+    # the only expansions that build no context.
+    assert 0 < stats.seeds <= len(calls) <= 2 * stats.seeds
+    assert len(calls) < graph.num_vertices // 50

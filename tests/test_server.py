@@ -6,6 +6,7 @@ import time
 import urllib.request
 
 import pytest
+from _helpers import post_with_content_length
 
 from repro.api import KPlexEngine, EnumerationRequest
 from repro.errors import (
@@ -157,6 +158,17 @@ def test_http_malformed_requests_yield_structured_4xx(served):
     assert status == 405
 
     # the service must still be fully usable after every bad request
+    assert client.solve("toy", k=2, q=3)["count"] == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "+5", "1_0"])
+def test_http_bad_content_length_is_400_not_500_or_hang(served, value):
+    _service, server, client = served
+    client.register("toy", edges=EDGES)
+    status, body = post_with_content_length(server.url, "/v1/solve", value)
+    assert status == 400
+    assert body["error"]["type"] == "BadRequest"
+    assert "Content-Length" in body["error"]["message"]
     assert client.solve("toy", k=2, q=3)["count"] == 1
 
 
